@@ -56,8 +56,8 @@ func Supported(e exec.Expr) bool {
 
 // chargeKernel charges one vectorized primitive over n selected elements:
 // a single per-batch dispatch (one tuple's worth of interpretation overhead,
-// via TupleCost — which doubles as the cancellation checkpoint the
-// cancelpoll analyzer requires at batch granularity), one payload load per
+// via TupleCost — which doubles as the batch-granular cancellation
+// checkpoint chargepath's poll rule requires), one payload load per
 // element per non-constant input, the ALU work, and one payload store per
 // element into out.
 func chargeKernel(ctx *exec.Ctx, out *Vector, n int, ins ...*Vector) {

@@ -178,7 +178,6 @@ func (j *HashJoin) Open() error {
 	outLines := (outWidth + 63) / 64
 	j.rowBase = j.Ctx.Arena.Alloc(uint64(chunk)*outLines*memsim.LineSize, memsim.LineSize)
 	j.rowBuf = make([]value.Row, chunk)
-	//lint:nopoll bounded by one batch (at most MaxBatch rows), pure allocation
 	for i := range j.rowBuf { //lint:nocharge one-time output-buffer allocation; emitted rows are charged per batch in gather
 		j.rowBuf[i] = make(value.Row, len(j.Schema().Columns))
 	}

@@ -31,9 +31,6 @@ import (
 type cnode struct {
 	stmt  ast.Stmt
 	succs []*cnode
-	// loopHead marks the condition/range node of a For/Range statement, so
-	// clients can identify back edges and iteration-completing paths.
-	loopHead bool
 }
 
 // cfg is the control-flow graph of one function body.
@@ -177,7 +174,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt, pred *cnode) *cnode {
 			pred = b.stmt(s.Init, pred)
 		}
 		head := b.node(s)
-		head.loopHead = true
 		b.edge(pred, head)
 		after := &cnode{}
 		b.g.nodes = append(b.g.nodes, after)
@@ -208,7 +204,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt, pred *cnode) *cnode {
 
 	case *ast.RangeStmt:
 		head := b.node(s)
-		head.loopHead = true
 		b.edge(pred, head)
 		after := &cnode{}
 		b.g.nodes = append(b.g.nodes, after)

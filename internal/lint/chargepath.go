@@ -17,7 +17,7 @@ import (
 // (vec.Metered sections, chargeKernel, Device.Charge*) satisfy the
 // obligation of the loops that call them.
 //
-// Three rules, in decreasing specificity:
+// Four rules, the first three in decreasing specificity:
 //
 //  1. Pull loops (the body pulls a batch via a Next/NextBatch call): no
 //     iteration that consumes a pulled batch may complete without touching
@@ -25,14 +25,14 @@ import (
 //     classic "empty batch: continue" fast path skipping Poll.
 //
 //  2. Element loops (classified by what they iterate: element slices,
-//     bounded windows, Len/Cap-bounded counters, batch/vector payloads,
-//     version-chain hops): some charge must cover each iteration. The
-//     charge may be in the body (may-charge on every completing path, or a
-//     touch on every path plus a lexical charge), guaranteed on every path
-//     from an enclosing anchor to the loop (batch-granular charging before
-//     a per-element loop), or guaranteed between loop exit and the end of
-//     the enclosing iteration (charging after the loop, chargeKernel
-//     style).
+//     bounded windows, Len/Cap-bounded counters, raw cursors,
+//     batch/vector payloads, version-chain hops): some charge must cover
+//     each iteration. The charge may be in the body (may-charge on every
+//     completing path, or a touch on every path plus a lexical charge),
+//     guaranteed on every path from an enclosing anchor to the loop
+//     (batch-granular charging before a per-element loop), or guaranteed
+//     between loop exit and the end of the enclosing iteration (charging
+//     after the loop, chargeKernel style).
 //
 //  3. Vectorized dispatch (package vec only): element loops must also be
 //     covered by a per-batch dispatch charge (Ctx.TupleCost) — in the
@@ -40,23 +40,37 @@ import (
 //     before the enclosing iteration completes. Payload charges alone do
 //     not pay the interpretation overhead the model attributes per batch.
 //
+//  4. Cancellation (packages exec, vec, engine): raw-cursor loops
+//     (Next/Valid/NextBatch on a concrete receiver), loops over
+//     materialized []Row, and sort.Slice/SliceStable comparator closures
+//     must poll (TupleCost, Poll or PollEvery) — in the body, or on every
+//     path from an enclosing per-batch anchor. A charge is not a poll:
+//     without one a statement timeout cannot interrupt the loop. Child
+//     operators are pulled through an Operator interface and poll on
+//     their own.
+//
 // Plus one boundary rule: a Next method returning (*Batch, error) that
 // emits via element loops without pulling from a child must poll
 // cancellation directly (Ctx.Poll/PollEvery) — emit-only operators are the
 // top of the pull chain and nobody polls on their behalf.
 //
 // Setup-only loops (allocation, precomputation whose cost is charged
-// elsewhere) are waived with //lint:nocharge on or above the loop.
+// elsewhere) and host-side passes are waived with //lint:nocharge on or
+// above the loop.
 var AnalyzerChargePath = &Analyzer{
 	Name:      "chargepath",
-	Doc:       "executor loops advancing tuples/batches/pages/version chains must charge the energy meter on every path",
+	Doc:       "executor loops advancing tuples/batches/pages/version chains must charge the energy meter on every path; cursor/row loops and sort comparators must poll cancellation",
 	WaiverKey: "nocharge",
 	Run:       runChargePath,
 }
 
-// chargePathPackages are the import-path basenames under analysis.
+// chargePathPackages are the import-path basenames under analysis, mapped
+// to whether the package owns cancellation polling (rule 4). Below the
+// executor (btree, storage, txn) there is no Ctx to poll: the executor loop
+// driving the cursor polls on their behalf.
 var chargePathPackages = map[string]bool{
-	"exec": true, "vec": true, "btree": true, "storage": true, "txn": true,
+	"exec": true, "vec": true, "engine": true,
+	"btree": false, "storage": false, "txn": false,
 }
 
 // elemTypeNames are the named types whose slices/values mark a loop as
@@ -74,14 +88,18 @@ func pathBase(p string) string {
 }
 
 func runChargePath(p *Pass) {
-	if !chargePathPackages[pathBase(p.Pkg.Path)] {
+	polls, ok := chargePathPackages[pathBase(p.Pkg.Path)]
+	if !ok {
 		return
 	}
 	sum := p.Prog.chargeSummary()
 	isVec := pathBase(p.Pkg.Path) == "vec"
 	for _, f := range p.Pkg.Files {
 		for _, fs := range funcScopes(f) {
-			checkChargeScope(p, sum, fs, isVec)
+			checkChargeScope(p, sum, fs, isVec, polls)
+			if polls {
+				checkComparators(p, sum, fs)
+			}
 		}
 		if isVec {
 			for _, d := range f.Decls {
@@ -95,7 +113,7 @@ func runChargePath(p *Pass) {
 
 // checkChargeScope applies the pull/element/dispatch rules to every loop in
 // one function scope.
-func checkChargeScope(p *Pass, sum *summary, fs funcScope, isVec bool) {
+func checkChargeScope(p *Pass, sum *summary, fs funcScope, isVec, polls bool) {
 	var loops []ast.Stmt
 	inspectShallow(fs.body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -118,6 +136,8 @@ func checkChargeScope(p *Pass, sum *summary, fs funcScope, isVec bool) {
 	}
 	mustCharge := func(st ast.Stmt) bool { return sum.stmtMustCharges(p.Pkg, st) }
 	mustDispatch := func(st ast.Stmt) bool { return sum.stmtMustDispatches(p.Pkg, st) }
+	mayPoll := func(st ast.Stmt) bool { return sum.stmtFacts(p.Pkg, st).polls }
+	mustPoll := func(st ast.Stmt) bool { return sum.stmtMustPolls(p.Pkg, st) }
 
 	counts := countVarObjects(p, fs.body)
 
@@ -139,6 +159,24 @@ func checkChargeScope(p *Pass, sum *summary, fs funcScope, isVec bool) {
 			continue
 		}
 
+		// dominated: the fact is guaranteed on every path from an enclosing
+		// anchor to the loop (batch-granular, before a per-element loop).
+		dominated := func(must stmtPred) bool {
+			for _, a := range anchors {
+				if guaranteedOn(a, loopHead, must) {
+					return true
+				}
+			}
+			return false
+		}
+		// afterLoop: the fact is guaranteed between loop exit and the end of
+		// the enclosing iteration (or scope exit), chargeKernel style.
+		afterLoop := func(must stmtPred) bool {
+			after := g.afterOf[loop]
+			return after != nil && !avoidSearch(after, map[*cnode]bool{iterEnd: true, g.exit: true}, must)
+		}
+
+		var kind string
 		if pulls := pullStmts(p, g, loop); len(pulls) > 0 {
 			// Rule 1: pull loops.
 			pullPred := func(st ast.Stmt) bool { return pulls[st] }
@@ -146,51 +184,38 @@ func checkChargeScope(p *Pass, sum *summary, fs funcScope, isVec bool) {
 				p.Reportf(loop.Pos(),
 					"%s: loop can pull a batch and complete the iteration without charging or polling the meter; charge or Poll on every path (or waive with //lint:nocharge)",
 					fs.name)
+				continue
 			}
-			continue
+			kind = "batch-pulling cursor loop"
+		} else {
+			if kind = classifyElemLoop(p, loop, counts); kind == "" {
+				continue
+			}
+			// Rule 2: some charge covers each iteration: the body charges
+			// on every completing path, or touches on every path and
+			// charges somewhere, or a charge dominates or follows the loop.
+			if iterationCompletes(g, loop, nil, mayCharge) &&
+				(iterationCompletes(g, loop, nil, touch) || !bodyHasStmt(g, loop, mayCharge)) &&
+				!dominated(mustCharge) && !afterLoop(mustCharge) {
+				p.Reportf(loop.Pos(),
+					"%s: %s can complete an iteration without charging the meter, and no charge is guaranteed before or after the loop (waive setup-only loops with //lint:nocharge)",
+					fs.name, kind)
+				continue
+			}
+			// Rule 3: vectorized loops also need the per-batch dispatch.
+			if isVec && !bodyHasStmt(g, loop, mustDispatch) && !dominated(mustDispatch) && !afterLoop(mustDispatch) {
+				p.Reportf(loop.Pos(),
+					"%s: %s has no per-batch dispatch charge: no Ctx.TupleCost in the body, dominating the loop, or guaranteed after it (waive with //lint:nocharge)",
+					fs.name, kind)
+				continue
+			}
 		}
 
-		kind := classifyElemLoop(p, loop, counts)
-		if kind == "" {
-			continue
-		}
-
-		// Rule 2: some charge covers each iteration.
-		chargeOK := !iterationCompletes(g, loop, nil, mayCharge) // A: body charges on every completing path
-		if !chargeOK {                                           // B: body touches on every path and charges somewhere
-			chargeOK = !iterationCompletes(g, loop, nil, touch) && bodyHasStmt(g, loop, mayCharge)
-		}
-		for i := 0; !chargeOK && i < len(anchors); i++ { // C: charge dominates the loop from an anchor
-			chargeOK = guaranteedOn(anchors[i], loopHead, mustCharge)
-		}
-		if !chargeOK { // C': charge guaranteed after the loop, before the enclosing iteration ends (or scope exit)
-			if after := g.afterOf[loop]; after != nil {
-				chargeOK = !avoidSearch(after, map[*cnode]bool{iterEnd: true, g.exit: true}, mustCharge)
-			}
-		}
-		if !chargeOK {
+		// Rule 4: raw-cursor and row loops poll cancellation, in the body
+		// or on every path from a per-batch anchor.
+		if polls && pollLoop(p, loop) && !bodyHasStmt(g, loop, mayPoll) && !dominated(mustPoll) {
 			p.Reportf(loop.Pos(),
-				"%s: %s can complete an iteration without charging the meter, and no charge is guaranteed before or after the loop (waive setup-only loops with //lint:nocharge)",
-				fs.name, kind)
-			continue
-		}
-
-		// Rule 3: vectorized loops also need the per-batch dispatch.
-		if !isVec {
-			continue
-		}
-		dispatchOK := bodyHasStmt(g, loop, mustDispatch)
-		for i := 0; !dispatchOK && i < len(anchors); i++ {
-			dispatchOK = guaranteedOn(anchors[i], loopHead, mustDispatch)
-		}
-		if !dispatchOK {
-			if after := g.afterOf[loop]; after != nil {
-				dispatchOK = !avoidSearch(after, map[*cnode]bool{iterEnd: true, g.exit: true}, mustDispatch)
-			}
-		}
-		if !dispatchOK {
-			p.Reportf(loop.Pos(),
-				"%s: %s has no per-batch dispatch charge: no Ctx.TupleCost in the body, dominating the loop, or guaranteed after it (waive with //lint:nocharge)",
+				"%s: %s never polls cancellation: call Ctx.TupleCost, Ctx.Poll or Ctx.PollEvery in the body or on every path from the enclosing per-batch anchor (waive with //lint:nocharge)",
 				fs.name, kind)
 		}
 	}
@@ -397,6 +422,9 @@ func classifyElemLoop(p *Pass, loop ast.Stmt, counts map[types.Object]bool) stri
 			return "element-count bounded loop"
 		}
 	}
+	if rawCursorLoop(p, loop) {
+		return "raw-cursor loop"
+	}
 	// Body-shape triggers, shared by both loop forms.
 	body := loopBody(loop)
 	if body == nil {
@@ -424,6 +452,80 @@ func classifyElemLoop(p *Pass, loop ast.Stmt, counts map[types.Object]bool) stri
 		return true
 	})
 	return desc
+}
+
+// pollLoop reports whether the loop walks a tuple stream a statement
+// timeout must be able to interrupt: a raw cursor, or a materialized row
+// set.
+func pollLoop(p *Pass, loop ast.Stmt) bool {
+	if rs, ok := loop.(*ast.RangeStmt); ok && p.TypeOf(rs.X) != nil {
+		if sl, ok := p.TypeOf(rs.X).Underlying().(*types.Slice); ok && isNamedElem(sl.Elem(), "Row") {
+			return true
+		}
+	}
+	return rawCursorLoop(p, loop)
+}
+
+// rawCursorLoop reports whether the loop's condition or body advances a raw
+// cursor: Next/Valid/NextBatch on a concrete receiver (storage scanner,
+// btree iterator, batch scanner). Child operators are pulled through an
+// Operator interface and poll on their own.
+func rawCursorLoop(p *Pass, loop ast.Stmt) bool {
+	found := false
+	visit := func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+				switch sel.Sel.Name {
+				case "Next", "Valid", "NextBatch":
+					t := p.TypeOf(sel.X)
+					found = t != nil && !types.IsInterface(t)
+				}
+			}
+		}
+		return !found
+	}
+	if f, ok := loop.(*ast.ForStmt); ok && f.Cond != nil {
+		ast.Inspect(f.Cond, visit)
+	}
+	if !found {
+		inspectShallow(loopBody(loop), visit)
+	}
+	return found
+}
+
+// checkComparators applies the poll rule to sort.Slice/SliceStable
+// comparator closures: sorting n tuples is O(n log n) comparator calls with
+// no tuple boundary, the longest uncancellable stretch a query can have.
+func checkComparators(p *Pass, sum *summary, fs funcScope) {
+	inspectShallow(fs.body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		f, ok := calleeObject(p.Pkg, call).(*types.Func)
+		if !ok || f.Pkg() == nil || f.Pkg().Path() != "sort" || (f.Name() != "Slice" && f.Name() != "SliceStable") {
+			return true
+		}
+		for _, arg := range call.Args {
+			lit, ok := arg.(*ast.FuncLit)
+			if !ok {
+				continue
+			}
+			polled := false
+			ast.Inspect(lit.Body, func(m ast.Node) bool {
+				if c, ok := m.(*ast.CallExpr); ok && sum.callFacts(p.Pkg, c).polls {
+					polled = true
+				}
+				return !polled
+			})
+			if !polled {
+				p.Reportf(call.Pos(),
+					"%s: sort comparator never polls cancellation: a large sort cannot be timed out; call Ctx.Poll in the less func (waive with //lint:nocharge)",
+					fs.name)
+			}
+		}
+		return true
+	})
 }
 
 func loopBody(loop ast.Stmt) *ast.BlockStmt {

@@ -1,6 +1,9 @@
 package lint
 
-import "go/ast"
+import (
+	"go/ast"
+	"go/types"
+)
 
 // This file holds the chargeflow engine's path queries. Every client
 // analyzer reduces its soundness rule to one of two reachability questions
@@ -71,17 +74,6 @@ func avoidSearch(from *cnode, goals map[*cnode]bool, avoid stmtPred) bool {
 // it returns true vacuously.
 func guaranteedOn(from, to *cnode, fact stmtPred) bool {
 	return !avoidSearch(from, map[*cnode]bool{to: true}, fact)
-}
-
-// nodesMatching collects the CFG nodes whose statement satisfies p.
-func (g *cfg) nodesMatching(p stmtPred) map[*cnode]bool {
-	out := map[*cnode]bool{}
-	for _, n := range g.nodes {
-		if n.matches(p) {
-			out[n] = true
-		}
-	}
-	return out
 }
 
 // loopBodyNodes returns the nodes lexically inside the loop statement's
@@ -175,4 +167,28 @@ func iterationCompletes(g *cfg, loop ast.Stmt, mustPass, fact stmtPred) bool {
 		}
 	}
 	return false
+}
+
+// escapesUndischarged is the liveness obligation shared by walerr and both
+// retirepath obligations (breakdowns, Dial* connections): the value
+// defined at def must be discharged (read, retired, closed, handed off) on
+// every path to function exit. It reports whether some path from def
+// reaches exit through no statement other than def itself that satisfies
+// discharges.
+func escapesUndischarged(p *Pass, fs funcScope, def ast.Stmt, discharges stmtPred) bool {
+	g := p.Prog.cfgOf(fs.body)
+	n := g.byStmt[def]
+	if n == nil {
+		return false
+	}
+	return avoidSearch(n, map[*cnode]bool{g.exit: true}, func(s ast.Stmt) bool {
+		return s != def && discharges(s)
+	})
+}
+
+// capturedBy reports whether obj is declared outside the scope: a variable
+// a closure captures from its enclosing function. Assigning one hands the
+// value to the enclosing scope by construction.
+func capturedBy(fs funcScope, obj types.Object) bool {
+	return obj.Pos() < fs.node.Pos() || fs.node.End() < obj.Pos()
 }

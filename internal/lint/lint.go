@@ -18,10 +18,6 @@
 //     counters (underflow on counter reset).
 //   - lockorder: engine → storage → btree lock ordering, mutex value
 //     copies, and lock held across a channel operation.
-//   - cancelpoll: executor tuple loops that never poll the cancellation
-//     flag (statement timeouts would not fire).
-//   - ledgerretire: Dial-shaped acquisitions that can leak on early
-//     returns, and measured energy that is never retired into a ledger.
 //   - wiresym: wire frame types whose Encode/Decode/String surfaces are
 //     asymmetric.
 //
@@ -31,24 +27,27 @@
 //
 //   - chargepath: every executor loop that advances tuples, batches,
 //     pages or version chains must charge the meter on every completing
-//     iteration (vectorized loops additionally owe a per-batch driver
-//     dispatch, and emit boundaries a direct cancellation poll).
+//     iteration; raw-cursor and row loops and sort comparators must also
+//     poll cancellation (vectorized loops additionally owe a per-batch
+//     driver dispatch, and emit boundaries a direct cancellation poll).
 //   - poolescape: pooled vec batches/vectors pulled from an operator or
 //     pool must not be retained in fields or growing slices past their
 //     reuse point.
 //   - walerr: WAL/engine/txn/storage durability errors
 //     (Commit/Rollback/Abort/Sync/Append) must reach the caller or the
 //     abort path on every CFG path.
-//   - retirepath: every profiled statement breakdown must be retired
-//     into the ledgers on every path, including error returns.
+//   - retirepath: every profiled breakdown must be retired into the
+//     ledgers or handed off on every path, including error returns, and
+//     every Dial* connection closed or handed off on every path.
 //
 // # Waivers
 //
 // A finding can be waived with a //lint:<key> comment on the flagged line
 // or the line directly above it, where <key> is the analyzer's waiver key
-// (counterdelta uses "monotonic", cancelpoll uses "nopoll", chargepath
-// uses "nocharge", the others use their own name). Waivers should carry a
-// justification after the key:
+// (counterdelta uses "monotonic", chargepath uses "nocharge", the others
+// use their own name). A //lint: comment whose key no analyzer owns is
+// itself reported, so a retired or misspelt waiver cannot pass silently.
+// Waivers should carry a justification after the key:
 //
 //	//lint:monotonic Transitions only advances on this goroutine
 //
@@ -91,8 +90,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerCounterDelta,
 		AnalyzerLockOrder,
-		AnalyzerCancelPoll,
-		AnalyzerLedgerRetire,
 		AnalyzerWireSym,
 		AnalyzerChargePath,
 		AnalyzerPoolEscape,
@@ -152,6 +149,7 @@ func Run(prog *Program, analyzers []*Analyzer) []Diagnostic {
 			a.Run(&Pass{Prog: prog, Pkg: pkg, analyzer: a, out: &out})
 		}
 	}
+	out = append(out, prog.deadWaivers()...)
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -171,9 +169,10 @@ func Run(prog *Program, analyzers []*Analyzer) []Diagnostic {
 // waiverPrefix introduces a suppression comment.
 const waiverPrefix = "//lint:"
 
-// collectWaivers indexes every //lint:<key> comment by file and line.
-func collectWaivers(fset *token.FileSet, files []*ast.File) map[string]map[int]map[string]bool {
-	out := make(map[string]map[int]map[string]bool)
+// collectWaivers indexes every //lint:<key> comment by file and line,
+// recording the comment's column under its key.
+func collectWaivers(fset *token.FileSet, files []*ast.File) map[string]map[int]map[string]int {
+	out := make(map[string]map[int]map[string]int)
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -190,15 +189,15 @@ func collectWaivers(fset *token.FileSet, files []*ast.File) map[string]map[int]m
 				pos := fset.Position(c.Pos())
 				byLine := out[pos.Filename]
 				if byLine == nil {
-					byLine = make(map[int]map[string]bool)
+					byLine = make(map[int]map[string]int)
 					out[pos.Filename] = byLine
 				}
 				keys := byLine[pos.Line]
 				if keys == nil {
-					keys = make(map[string]bool)
+					keys = make(map[string]int)
 					byLine[pos.Line] = keys
 				}
-				keys[key] = true
+				keys[key] = pos.Column
 			}
 		}
 	}
@@ -212,7 +211,55 @@ func (p *Program) waived(pos token.Position, key string) bool {
 	if byLine == nil {
 		return false
 	}
-	return byLine[pos.Line][key] || byLine[pos.Line-1][key]
+	_, here := byLine[pos.Line][key]
+	_, above := byLine[pos.Line-1][key]
+	return here || above
+}
+
+// deadWaivers reports every //lint:<key> comment whose key no analyzer of
+// the suite owns: such a comment suppresses nothing.
+func (p *Program) deadWaivers() []Diagnostic {
+	owned := map[string]bool{}
+	for _, a := range All() {
+		owned[a.Key()] = true
+	}
+	var out []Diagnostic
+	for file, byLine := range p.waivers {
+		for line, keys := range byLine {
+			for key, col := range keys {
+				if !owned[key] {
+					out = append(out, Diagnostic{
+						Pos:      token.Position{Filename: file, Line: line, Column: col},
+						Analyzer: "waiver",
+						Msg:      fmt.Sprintf("//lint:%s is no analyzer's waiver key and suppresses nothing (energylint -list shows the keys)", key),
+					})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// hasMethod reports whether *T or T has a method with the given name.
+func hasMethod(t types.Type, name string) bool {
+	ms := types.NewMethodSet(types.NewPointer(t))
+	for i := 0; i < ms.Len(); i++ {
+		if ms.At(i).Obj().Name() == name {
+			return true
+		}
+	}
+	return false
+}
+
+// calleeName extracts the called function's bare name.
+func calleeName(call *ast.CallExpr) string {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		return fun.Name
+	case *ast.SelectorExpr:
+		return fun.Sel.Name
+	}
+	return ""
 }
 
 // exprString renders a (small) expression for operand matching and messages.

@@ -26,11 +26,11 @@ type Program struct {
 
 	modPath string
 	modRoot string
-	all     map[string]*Package // every module package by import path
-	loading map[string]bool     // import-cycle guard
-	std     types.Importer      // stdlib importer (gc export data)
-	stdSrc  types.Importer      // fallback stdlib importer (source)
-	waivers map[string]map[int]map[string]bool
+	all     map[string]*Package               // every module package by import path
+	loading map[string]bool                   // import-cycle guard
+	std     types.Importer                    // stdlib importer (gc export data)
+	stdSrc  types.Importer                    // fallback stdlib importer (source)
+	waivers map[string]map[int]map[string]int // file → line → key → column
 
 	// chargeSum and cfgCache are lazily-built chargeflow engine state,
 	// shared by every analyzer pass over this program (summary.go, cfg.go).

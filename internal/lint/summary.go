@@ -55,7 +55,10 @@ func isDirectChargeName(name string) bool {
 	return strings.HasPrefix(name, "Charge")
 }
 
-// isDirectPollName mirrors cancelpoll's poll set.
+// isDirectPollName reports whether a method name is one of the executor's
+// cancellation checkpoints: the charged per-tuple TupleCost, the free
+// per-tuple Poll, or the strided PollEvery used in loops over materialized
+// buffers.
 func isDirectPollName(name string) bool {
 	return name == "Poll" || name == "PollEvery" || name == "TupleCost"
 }
@@ -105,13 +108,7 @@ func buildSummary(prog *Program) *summary {
 			if !ok {
 				return true
 			}
-			var name string
-			switch fun := call.Fun.(type) {
-			case *ast.Ident:
-				name = fun.Name
-			case *ast.SelectorExpr:
-				name = fun.Sel.Name
-			}
+			name := calleeName(call)
 			if isDirectChargeName(name) {
 				f.charges = true
 			}
@@ -215,6 +212,14 @@ func (s *summary) stmtMustDispatches(pkg *Package, st ast.Stmt) bool {
 	})
 }
 
+// stmtMustPolls is stmtMustCharges for cancellation: a direct checkpoint,
+// or a must-dispatching callee (TupleCost polls).
+func (s *summary) stmtMustPolls(pkg *Package, st ast.Stmt) bool {
+	return s.stmtMust(pkg, st, func(name string, f *chargeFacts) bool {
+		return isDirectPollName(name) || f != nil && f.mustDispatches
+	})
+}
+
 func (s *summary) stmtMust(pkg *Package, st ast.Stmt, hit func(string, *chargeFacts) bool) bool {
 	found := false
 	root := stmtEvalNode(st)
@@ -229,13 +234,7 @@ func (s *summary) stmtMust(pkg *Package, st ast.Stmt, hit func(string, *chargeFa
 		if !ok {
 			return true
 		}
-		var name string
-		switch fun := ast.Unparen(call.Fun).(type) {
-		case *ast.Ident:
-			name = fun.Name
-		case *ast.SelectorExpr:
-			name = fun.Sel.Name
-		}
+		name := calleeName(call)
 		var f *chargeFacts
 		if callee := calleeObject(pkg, call); callee != nil {
 			f = s.facts[callee]
@@ -307,13 +306,7 @@ func calleeObject(pkg *Package, call *ast.CallExpr) types.Object {
 // contribute their fixed-point facts.
 func (s *summary) callFacts(pkg *Package, call *ast.CallExpr) chargeFacts {
 	var out chargeFacts
-	var name string
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		name = fun.Name
-	case *ast.SelectorExpr:
-		name = fun.Sel.Name
-	}
+	name := calleeName(call)
 	if isDirectChargeName(name) {
 		out.charges = true
 	}

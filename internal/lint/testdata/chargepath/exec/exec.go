@@ -1,7 +1,7 @@
 // Package exec mirrors the row-at-a-time executor and MVCC shapes the
-// chargepath analyzer guards outside the vectorized engine: row loops
-// and version-chain walks must charge the meter, but (unlike package
-// vec) carry no per-batch dispatch obligation.
+// chargepath analyzer guards outside the vectorized engine: row loops and
+// version-chain walks must charge the meter (row loops also poll, see
+// poll.go), but (unlike package vec) owe no per-batch dispatch.
 package exec
 
 // Row mirrors the executor's tuple.
@@ -56,10 +56,11 @@ func sumUncharged(rows []Row) int {
 	return s
 }
 
-// sumCharged charges per row: clean.
+// sumCharged charges and polls per row: clean.
 func sumCharged(ctx *Ctx, rows []Row) int {
 	s := 0
-	for _, r := range rows {
+	for i, r := range rows {
+		ctx.PollEvery(i)
 		ctx.EvalCost(1)
 		s += r[0]
 	}

@@ -1,18 +1,11 @@
-// Package exec mirrors the executor's cancellation surface — Ctx with
-// TupleCost/Poll, the Operator interface, raw cursors and materialized
-// row slices — and exercises the cancelpoll analyzer with unpolled loops,
-// unpolled sort comparators, and the accepted shapes of each.
 package exec
 
 import "sort"
 
-// Row mirrors the executor's tuple type.
-type Row []int
-
-// Ctx mirrors the executor context.
-type Ctx struct {
-	canceled bool
-}
+// The executor's cancellation surface: statement timeouts only fire if
+// every raw-cursor loop, every loop over a materialized row set and every
+// sort comparator polls the cancellation flag (rule 4). A charge alone is
+// not a poll: EvalCost pays for the work but never reads the flag.
 
 // TupleCost is the charged per-tuple checkpoint.
 func (c *Ctx) TupleCost() {}
@@ -34,16 +27,34 @@ type Operator interface {
 // cursor is a raw storage iterator: not an Operator, so loops driving it
 // must poll themselves.
 type cursor struct {
-	n int
+	rows []Row
 }
 
 // Next advances the cursor.
 func (c *cursor) Next() bool {
-	c.n--
-	return c.n >= 0
+	c.rows = c.rows[1:]
+	return len(c.rows) > 0
 }
 
-// scanRaw drives a raw cursor without ever polling cancellation.
+// scanner is the heap-file scanner shape: Next yields the row itself.
+type scanner struct {
+	rows []Row
+}
+
+// scan opens a scanner over the heap (storage.HeapFile.Scan).
+func scan(rows []Row) *scanner { return &scanner{rows: rows} }
+
+// Next returns the next row.
+func (s *scanner) Next() (Row, bool) {
+	if len(s.rows) == 0 {
+		return nil, false
+	}
+	r := s.rows[0]
+	s.rows = s.rows[1:]
+	return r, true
+}
+
+// scanRaw drives a raw cursor without ever charging or polling.
 func scanRaw(ctx *Ctx, cur *cursor) int {
 	n := 0
 	for cur.Next() {
@@ -52,7 +63,8 @@ func scanRaw(ctx *Ctx, cur *cursor) int {
 	return n
 }
 
-// scanPolled is the accepted cursor shape: TupleCost per tuple.
+// scanPolled is the accepted cursor shape: TupleCost charges and polls per
+// tuple.
 func scanPolled(ctx *Ctx, cur *cursor) int {
 	n := 0
 	for cur.Next() {
@@ -62,7 +74,27 @@ func scanPolled(ctx *Ctx, cur *cursor) int {
 	return n
 }
 
-// materialize ranges over a materialized row set without polling.
+// updateWhere is the DML scan loop (engine.UpdateWhereTxn) charging the
+// predicate but never polling: an UPDATE over a large table cannot be
+// timed out.
+func updateWhere(ctx *Ctx, rows []Row, pred func(Row) bool) int {
+	updated := 0
+	for sc := scan(rows); ; {
+		row, ok := sc.Next()
+		if !ok {
+			break
+		}
+		ctx.EvalCost(1)
+		if !pred(row) {
+			continue
+		}
+		updated++
+	}
+	return updated
+}
+
+// materialize ranges over a materialized row set without charging or
+// polling.
 func materialize(ctx *Ctx, rows []Row) int {
 	n := 0
 	for range rows {
@@ -71,11 +103,13 @@ func materialize(ctx *Ctx, rows []Row) int {
 	return n
 }
 
-// materializePolled is the accepted shape: the free checkpoint per row.
+// materializePolled is the accepted shape: a charge plus the free
+// checkpoint per row.
 func materializePolled(ctx *Ctx, rows []Row) int {
 	n := 0
 	for range rows {
 		ctx.Poll()
+		ctx.EvalCost(1)
 		n++
 	}
 	return n
@@ -87,6 +121,7 @@ func materializeStrided(ctx *Ctx, rows []Row) int {
 	n := 0
 	for i := range rows {
 		ctx.PollEvery(i)
+		ctx.EvalCost(1)
 		n++
 	}
 	return n
@@ -112,6 +147,14 @@ func orderRows(ctx *Ctx, rows []Row) {
 	})
 }
 
+// orderRowsCharged charges every comparison but still never polls.
+func orderRowsCharged(ctx *Ctx, rows []Row) {
+	sort.SliceStable(rows, func(a, b int) bool {
+		ctx.EvalCost(1)
+		return rows[a][0] < rows[b][0]
+	})
+}
+
 // orderRowsPolled is the accepted comparator shape.
 func orderRowsPolled(ctx *Ctx, rows []Row) {
 	sort.SliceStable(rows, func(a, b int) bool {
@@ -123,7 +166,7 @@ func orderRowsPolled(ctx *Ctx, rows []Row) {
 // header is provably bounded and carries the documented waiver.
 func header(ctx *Ctx, rows []Row) int {
 	n := 0
-	//lint:nopoll bounded: at most two header rows
+	//lint:nocharge bounded: at most two header rows
 	for _, r := range rows[:2] {
 		n += len(r)
 	}

@@ -1,6 +1,6 @@
 // Package ledger reproduces the client.Dial handshake leak (fixed in an
 // earlier PR) and a dropped energy measurement, next to the accepted
-// shapes, for the ledgerretire analyzer's golden test.
+// shapes, for the retirepath analyzer's golden test.
 package ledger
 
 // Conn is the dialed resource.

@@ -1,7 +1,7 @@
 package ledger
 
 // Ledger accumulates per-session energy; its presence arms the
-// profileretire half of the analyzer.
+// measured-energy rule in scopes that never call retire themselves.
 type Ledger struct {
 	total float64
 }
@@ -39,4 +39,12 @@ func measureAndRetire(m *meter, l *Ledger) {
 // measureForCaller returns the Breakdown: retirement is the caller's job.
 func measureForCaller(m *meter) Breakdown {
 	return m.Profile()
+}
+
+// measureInto hands the breakdown to its enclosing function through a
+// captured named result (the benchmark lanes' shape): retirement is the
+// caller's job.
+func measureInto(m *meter, run func(func())) (b Breakdown) {
+	run(func() { b = m.Profile() })
+	return b
 }

@@ -99,7 +99,6 @@ func checkWalErrScope(p *Pass, fs funcScope) {
 		}
 	}
 
-	var g *cfg // built lazily: most scopes have no durability calls
 	inspectShallow(fs.body, func(n ast.Node) bool {
 		switch st := n.(type) {
 		case *ast.ExprStmt:
@@ -134,10 +133,7 @@ func checkWalErrScope(p *Pass, fs funcScope) {
 					fs.name, name)
 				return true
 			}
-			obj := p.Pkg.Info.Defs[id]
-			if obj == nil {
-				obj = p.Pkg.Info.Uses[id]
-			}
+			obj := p.Pkg.Info.ObjectOf(id)
 			if obj == nil {
 				return true
 			}
@@ -145,26 +141,16 @@ func checkWalErrScope(p *Pass, fs funcScope) {
 			// propagates the error out of this closure by construction —
 			// the enclosing scope reads it after the closure runs (the
 			// prof.Profile(func(){ err = ... }) shape).
-			if obj.Pos() < fs.node.Pos() || fs.node.End() < obj.Pos() {
-				return true
-			}
-			if g == nil {
-				g = p.Prog.cfgOf(fs.body)
-			}
-			def := g.byStmt[ast.Stmt(st)]
-			if def == nil {
+			if capturedBy(fs, obj) {
 				return true
 			}
 			reads := func(s ast.Stmt) bool {
-				if s == ast.Stmt(st) {
-					return false // the definition itself
-				}
 				if _, isRet := s.(*ast.ReturnStmt); isRet && namedResults[obj] {
 					return true
 				}
 				return stmtMentions(p, s, obj)
 			}
-			if avoidSearch(def, map[*cnode]bool{g.exit: true}, reads) {
+			if escapesUndischarged(p, fs, st, reads) {
 				p.Reportf(st.Pos(),
 					"%s: error from %s can reach function exit without being read; a failed durability point must reach the caller or the abort path",
 					fs.name, name)
