@@ -141,10 +141,9 @@ func (j *HashJoin) Open() error {
 		if hi > len(rows) {
 			hi = len(rows)
 		}
-		// Batch-granularity cancellation plus one build-kernel dispatch per
-		// chunk: hash arithmetic, the buffer copy, and the key loads are
-		// charged in bulk; bucket accesses stay per-row dependent loads.
-		j.Ctx.PollEvery(lo)
+		// One build-kernel dispatch per chunk (TupleCost also polls for
+		// cancellation): hash arithmetic, the buffer copy, and the key loads
+		// are charged in bulk; bucket accesses stay per-row dependent loads.
 		j.Ctx.TupleCost()
 		n := uint64(hi - lo)
 		h.StoreRepeat(j.buildBase+uint64(lo)*uint64(width), n*rowLines)

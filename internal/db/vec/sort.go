@@ -114,7 +114,6 @@ func (s *Sort) Open() error {
 		if hi > n {
 			hi = n
 		}
-		s.Ctx.PollEvery(lo)
 		s.Ctx.TupleCost()
 		h.StoreRepeat(s.base+uint64(lo)*16, uint64(hi-lo))
 	}

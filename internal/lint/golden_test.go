@@ -129,6 +129,7 @@ func TestGoldenCancelPoll(t *testing.T) {
 func TestGoldenLedgerRetire(t *testing.T) {
 	folded(t, AnalyzerRetirePath, []string{
 		"ledger/dial.go|DialLeaky: Dial result nc",
+		"ledger/dial.go|DialReusedErr: Dial result nc",
 		"ledger/profile.go|measureAndDrop: profiled breakdown",
 	}, []string{
 		"DialGuarded", "measureAndRetire", "measureForCaller", "measureInto",

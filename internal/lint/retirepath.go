@@ -31,9 +31,11 @@ import (
 //     `defer func() { if !ok { c.Close() } }()` shape included), returned,
 //     stored beyond the call, sent, or handed to a goroutine on every path.
 //     Only the then-branch of the acquisition's own `err != nil` test is
-//     exempt (same types.Object: the connection was never obtained), so a
-//     shadowing `if err := handshake(nc); err != nil { return }` — the
-//     client.Dial socket leak fixed in an earlier PR — is still a leak.
+//     exempt: the same err variable, tested while the Dial* assignment is
+//     its only reaching definition (the connection was never obtained).
+//     So both a shadowing `if err := handshake(nc); err != nil { return }`
+//     — the client.Dial socket leak fixed in an earlier PR — and a reusing
+//     `err = handshake(nc); if err != nil { return }` are still leaks.
 var AnalyzerRetirePath = &Analyzer{
 	Name: "retirepath",
 	Doc:  "profiled breakdowns must be retired or handed off, and Dial* connections closed or handed off, on every path",
@@ -173,7 +175,8 @@ func checkDialReleased(p *Pass, fs funcScope, st *ast.AssignStmt) {
 		return found
 	}
 	// The then-branch of the acquisition's own err != nil test: nothing
-	// was acquired there.
+	// was acquired there. Once err is reassigned, the test is about that
+	// later call, with the connection open.
 	exempt := map[ast.Stmt]bool{}
 	var errObj types.Object
 	if len(st.Lhs) > 1 {
@@ -184,7 +187,8 @@ func checkDialReleased(p *Pass, fs funcScope, st *ast.AssignStmt) {
 	inspectShallow(fs.body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.IfStmt:
-			if errObj != nil && len(n.Body.List) > 0 && testsNonNil(p, n.Cond, errObj) {
+			if errObj != nil && len(n.Body.List) > 0 && testsNonNil(p, n.Cond, errObj) &&
+				soleReachingDef(p, fs, st, n, errObj) {
 				exempt[n.Body.List[0]] = true
 			}
 		case *ast.AssignStmt:
@@ -234,6 +238,42 @@ func checkDialReleased(p *Pass, fs funcScope, st *ast.AssignStmt) {
 			"%s: %s result %s can reach function exit without being closed, returned or stored (the client.Dial handshake-leak shape); close it on every path or guard with a deferred cleanup",
 			fs.name, calleeName(call), id.Name)
 	}
+}
+
+// soleReachingDef reports whether def is the only definition of obj that
+// reaches use from def: no path from def to use passes another statement
+// assigning obj. Paths that loop back through def restart from it.
+func soleReachingDef(p *Pass, fs funcScope, def, use ast.Stmt, obj types.Object) bool {
+	g := p.Prog.cfgOf(fs.body)
+	from, to := g.byStmt[def], g.byStmt[use]
+	if from == nil || to == nil {
+		return false
+	}
+	isDef := func(s ast.Stmt) bool { return s == def }
+	for _, n := range g.nodes {
+		if n.stmt == nil || n.stmt == def || !assignsObj(p, n.stmt, obj) {
+			continue
+		}
+		if avoidSearch(from, map[*cnode]bool{n: true}, isDef) &&
+			avoidSearch(n, map[*cnode]bool{to: true}, isDef) {
+			return false
+		}
+	}
+	return true
+}
+
+// assignsObj reports whether s is an assignment with obj on its left.
+func assignsObj(p *Pass, s ast.Stmt, obj types.Object) bool {
+	as, ok := s.(*ast.AssignStmt)
+	if !ok {
+		return false
+	}
+	for _, lhs := range as.Lhs {
+		if id, ok := lhs.(*ast.Ident); ok && p.Pkg.Info.ObjectOf(id) == obj {
+			return true
+		}
+	}
+	return false
 }
 
 // closeable reports whether values of type t have a Close method.

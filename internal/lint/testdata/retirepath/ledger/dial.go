@@ -47,6 +47,21 @@ func DialLeaky(addr string) (*Client, error) {
 	return &Client{nc: nc}, nil
 }
 
+// DialReusedErr leaks the same way with the acquisition's err reused for
+// the handshake: the err != nil branch after the reassignment runs with the
+// socket open.
+func DialReusedErr(addr string) (*Client, error) {
+	nc, err := Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	err = handshake(nc)
+	if err != nil {
+		return nil, err
+	}
+	return &Client{nc: nc}, nil
+}
+
 // DialGuarded is the accepted shape: a deferred guard-flag cleanup closes
 // the socket on every early return.
 func DialGuarded(addr string) (*Client, error) {

@@ -232,7 +232,7 @@ func (h *Hierarchy) Load(addr uint64, dependent bool) Level {
 	h.ctr.Loads++
 	h.notePage(addr)
 	line := addr / LineSize
-	level := h.demandFill(line)
+	level := h.demandFill(line, true)
 	h.stall(level, dependent)
 	if h.cfg.Prefetch.Enabled {
 		if h.pf != nil {
@@ -254,9 +254,7 @@ func (h *Hierarchy) l1dNextLine(line uint64) {
 	if h.l1d.contains(next) {
 		return
 	}
-	inL2 := h.l2 != nil && h.l2.contains(next)
-	inL3 := h.l3 != nil && h.l3.contains(next)
-	if inL2 || inL3 {
+	if (h.l2 != nil && h.l2.contains(next)) || (h.l3 != nil && h.l3.contains(next)) {
 		h.l1d.fill(next)
 		h.ctr.UncountedL1DPf++
 	}
@@ -281,17 +279,7 @@ func (h *Hierarchy) Store(addr uint64) Level {
 	}
 	h.ctr.Stores++
 	h.notePage(addr)
-	line := addr / LineSize
-	if h.l1d != nil && h.l1d.lookup(line) {
-		h.ctr.StoreL1DHits++
-		return LevelL1D
-	}
-	// Write-allocate: the miss fetches the line through the hierarchy
-	// (those transfers consume the corresponding load energies and are
-	// counted at L2/L3/mem, but not as N_L1D, which is a load-only
-	// event), then the store completes in L1D.
-	h.ctr.StoreL1DMisses++
-	level := h.storeFill(line)
+	level := h.demandFill(addr/LineSize, false)
 	h.stall(level, false)
 	return level
 }
@@ -331,7 +319,7 @@ func (h *Hierarchy) LoadRepeat(addr uint64, n uint64) {
 	if n == 0 {
 		return
 	}
-	first := h.Load(addr, false) // records AccessLoadInd for the head
+	h.Load(addr, false) // records AccessLoadInd for the head
 	rest := n - 1
 	if rest == 0 {
 		return
@@ -348,7 +336,6 @@ func (h *Hierarchy) LoadRepeat(addr uint64, n uint64) {
 	h.ctr.Loads += rest
 	h.ctr.L1DAccesses += rest
 	h.ctr.L1DHits += rest
-	_ = first
 }
 
 // StoreRepeat simulates n stores to the same hot line: after the first
@@ -402,14 +389,30 @@ func (h *Hierarchy) Exec(n uint64, kind InstrKind) {
 
 // demandFill walks the hierarchy for a demand access to line, applying the
 // step-by-step replication strategy the paper illustrates in Figure 2: a hit
-// at level m copies the line into every level above m on the way back.
-func (h *Hierarchy) demandFill(line uint64) Level {
-	h.ctr.L1DAccesses++
-	if h.l1d.lookup(line) {
-		h.ctr.L1DHits++
+// at level m copies the line into every level above m on the way back. Each
+// level is probed once, and a miss fills it in O(1) (see cache).
+//
+// load distinguishes a load from a store's write-allocate. Only a load
+// counts the L1D load event (N_L1D is load-only in the paper's model; a
+// store counts N_Reg2L1D on an L1D hit instead), and only a load honours
+// the DirectFill ablation, which fills L1D alone. The deeper transfers of a
+// store miss really move data and are counted and filled like a load's.
+func (h *Hierarchy) demandFill(line uint64, load bool) Level {
+	hit := h.l1d.lookup(line)
+	switch {
+	case load:
+		h.ctr.L1DAccesses++
+		if hit {
+			h.ctr.L1DHits++
+			return LevelL1D
+		}
+		h.ctr.L1DMisses++
+	case hit:
+		h.ctr.StoreL1DHits++
 		return LevelL1D
+	default:
+		h.ctr.StoreL1DMisses++
 	}
-	h.ctr.L1DMisses++
 	if h.l2 == nil {
 		// No L2: the L1D miss goes straight to DRAM (ARM profile).
 		h.ctr.MemAccesses++
@@ -423,76 +426,29 @@ func (h *Hierarchy) demandFill(line uint64) Level {
 		return LevelL2
 	}
 	h.ctr.L2Misses++
-	if h.l3 == nil {
+	level := LevelMem
+	if h.l3 != nil {
+		h.ctr.L3Accesses++
+		if h.l3.lookup(line) {
+			h.ctr.L3Hits++
+			level = LevelL3
+		} else {
+			h.ctr.L3Misses++
+		}
+	}
+	if level == LevelMem {
 		h.ctr.MemAccesses++
-		h.fillUp(line, LevelMem)
-		return LevelMem
 	}
-	h.ctr.L3Accesses++
-	if h.l3.lookup(line) {
-		h.ctr.L3Hits++
-		h.fillUp(line, LevelL3)
-		return LevelL3
-	}
-	h.ctr.L3Misses++
-	h.ctr.MemAccesses++
-	h.fillUp(line, LevelMem)
-	return LevelMem
-}
-
-// fillUp places a line fetched from the given level into the caches: every
-// level above it under step-by-step replication (Figure 2), or only L1D
-// under the DirectFill ablation.
-func (h *Hierarchy) fillUp(line uint64, from Level) {
-	if h.cfg.DirectFill {
+	if load && h.cfg.DirectFill {
 		h.l1d.fill(line)
-		return
+		return level
 	}
-	if from == LevelMem && h.l3 != nil {
+	if level == LevelMem && h.l3 != nil {
 		h.l3.fill(line)
 	}
-	if h.l2 != nil {
-		h.l2.fill(line)
-	}
-	h.l1d.fill(line)
-}
-
-// storeFill brings a line in on a store miss (write-allocate). It is the
-// same walk as demandFill except the L1D load event is not counted: N_L1D is
-// a load-only event in the paper's model, while the deeper transfers really
-// do move data and are charged normally.
-func (h *Hierarchy) storeFill(line uint64) Level {
-	if h.l2 == nil {
-		h.ctr.MemAccesses++
-		h.l1d.fill(line)
-		return LevelMem
-	}
-	h.ctr.L2Accesses++
-	if h.l2.lookup(line) {
-		h.ctr.L2Hits++
-		h.l1d.fill(line)
-		return LevelL2
-	}
-	h.ctr.L2Misses++
-	if h.l3 == nil {
-		h.ctr.MemAccesses++
-		h.l2.fill(line)
-		h.l1d.fill(line)
-		return LevelMem
-	}
-	h.ctr.L3Accesses++
-	if h.l3.lookup(line) {
-		h.ctr.L3Hits++
-		h.l2.fill(line)
-		h.l1d.fill(line)
-		return LevelL3
-	}
-	h.ctr.L3Misses++
-	h.ctr.MemAccesses++
-	h.l3.fill(line)
 	h.l2.fill(line)
 	h.l1d.fill(line)
-	return LevelMem
+	return level
 }
 
 // stall charges stall cycles for a load satisfied at level.

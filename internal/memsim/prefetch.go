@@ -11,6 +11,9 @@ type prefetcher struct {
 	cfg     PrefetchConfig
 	streams []stream
 	clock   uint64
+	// last is the stream find or allocate returned most recently. A
+	// stream's page is unique in the table, so checking it first is exact.
+	last int
 }
 
 type stream struct {
@@ -42,6 +45,7 @@ func (p *prefetcher) reset() {
 		p.streams[i] = stream{}
 	}
 	p.clock = 0
+	p.last = 0
 }
 
 const linesPerPage = PageSize / LineSize
@@ -122,8 +126,12 @@ func (p *prefetcher) fetchLine(h *Hierarchy, line uint64, intoL2 bool) {
 }
 
 func (p *prefetcher) find(page uint64) *stream {
+	if s := &p.streams[p.last]; s.valid && s.page == page {
+		return s
+	}
 	for i := range p.streams {
 		if p.streams[i].valid && p.streams[i].page == page {
+			p.last = i
 			return &p.streams[i]
 		}
 	}
@@ -142,5 +150,6 @@ func (p *prefetcher) allocate(page uint64) *stream {
 		}
 	}
 	p.streams[victim] = stream{page: page, valid: true}
+	p.last = victim
 	return &p.streams[victim]
 }
