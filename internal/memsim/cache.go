@@ -58,9 +58,7 @@ func newCache(cfg CacheConfig) *cache {
 		setMask: uint64(sets - 1),
 		tags:    make([]uint64, sets*cfg.Ways),
 		sets:    make([]cacheSet, sets),
-	}
-	for p := 0; p < cfg.Ways; p++ {
-		c.fresh |= uint64(p) << (4 * p)
+		fresh:   0xfedcba9876543210 & (uint64(1)<<(4*cfg.Ways) - 1),
 	}
 	c.reset()
 	return c

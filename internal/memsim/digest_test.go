@@ -37,13 +37,17 @@ var counterDigests = map[string]string{
 
 var digestPrint = flag.Bool("digest-print", false, "print the counter digest table instead of checking it")
 
-// digest folds labelled PMU deltas into one FNV-1a hash: every
-// memsim.Counters field plus every perfmon event derived from them.
+// digest folds labelled PMU deltas into one FNV-1a hash.
 type digest struct{ h hash.Hash64 }
 
 func newDigest() *digest { return &digest{h: fnv.New64a()} }
 
-func (d *digest) add(label string, before, after perfmon.Sample) {
+// region hashes the counter delta of fn on h, and every perfmon event
+// derived from it, under label.
+func (d *digest) region(label string, h *memsim.Hierarchy, fn func()) {
+	before := perfmon.Take(h)
+	fn()
+	after := perfmon.Take(h)
 	fmt.Fprintf(d.h, "%s|%+v|", label, after.DeltaSince(before))
 	events := after.Events(before)
 	names := make([]string, 0, len(events))
@@ -54,13 +58,6 @@ func (d *digest) add(label string, before, after perfmon.Sample) {
 	for _, n := range names {
 		fmt.Fprintf(d.h, "%s=%d,", n, events[perfmon.Event(n)])
 	}
-}
-
-// region hashes the counter delta of fn on h under label.
-func (d *digest) region(label string, h *memsim.Hierarchy, fn func()) {
-	before := perfmon.Take(h)
-	fn()
-	d.add(label, before, perfmon.Take(h))
 }
 
 func (d *digest) sum() string { return fmt.Sprintf("%016x", d.h.Sum64()) }

@@ -45,7 +45,6 @@ func (p *prefetcher) reset() {
 		p.streams[i] = stream{}
 	}
 	p.clock = 0
-	p.last = 0
 }
 
 const linesPerPage = PageSize / LineSize
